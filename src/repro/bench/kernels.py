@@ -20,8 +20,9 @@ Two further sections (see ``docs/BENCHMARKS.md`` for the schema):
 
 - ``backends`` — the per-backend comparison table: every registered
   executor backend timed on representative (w, region-size) program
-  classes, byte-checked against the baseline, with the auto-tuner's
-  pick recorded per class (feeds the CI bitsliced gate);
+  classes, byte-checked against the baseline, with the backend an
+  ``"auto"`` executor ran recorded per class (feeds the CI bitsliced
+  gate);
 - ``encode`` — the naive per-stripe ``encode`` loop vs the batched
   compiled ``encode_batch`` (feeds the CI encode gate).
 
@@ -45,7 +46,6 @@ from ..kernels import (
     get_backend,
     lower_matrix,
     lower_plan,
-    set_default_backend,
 )
 from ..stripes import worst_case_sd
 from .pipeline import build_batch
@@ -128,13 +128,13 @@ def _bench_backends(
 
     Every registered, supporting backend runs each class; results are
     byte-checked against the baseline before any throughput is
-    reported.  The auto-tuner's pick for the class is recorded too
-    (what a ``backend="auto"`` executor would use).
+    reported.  The backend a ``backend="auto"`` executor actually ran
+    for the class is recorded too.
     """
     classes = []
-    # the w=8 cases run the real SD decode program; 4096 symbols sits
-    # below the paired-table cache-residency crossover (the auto-tuner
-    # keeps the baseline there), 64K symbols is the CI-gated class
+    # the w=8 cases run the real SD decode program; 4096 and 16384
+    # symbols sit below one executor chunk (auto keeps the baseline
+    # there), 64K symbols is the CI-gated class
     cases = [
         (8, 4096, sd_program),
         (8, 16384, sd_program),
@@ -176,19 +176,13 @@ def _bench_backends(
             row["speedup_vs_baseline"] = (
                 base_seconds / row["seconds"] if row["seconds"] > 0 else 0.0
             )
-        # what auto-tune picks for this class (fresh executor, its own
-        # tuning state; the micro-benchmark runs on first execute)
-        auto_exec = ProgramExecutor(field, backend="auto")
+        # the backend an "auto" executor runs for this class
+        auto_exec = ProgramExecutor(field)
         auto_exec.execute(program, inputs)
-        choices = auto_exec.tuning.choices()
-        entry["auto_choice"] = next(iter(choices.values())) if choices else None
-        entry["auto_speedup_vs_baseline"] = (
-            entry["backends"].get(entry["auto_choice"], {}).get(
-                "speedup_vs_baseline", 1.0
-            )
-            if entry["auto_choice"]
-            else 1.0
-        )
+        (entry["auto_choice"],) = auto_exec.stats()["backends"]
+        entry["auto_speedup_vs_baseline"] = entry["backends"][entry["auto_choice"]][
+            "speedup_vs_baseline"
+        ]
         best = max(
             entry["backends"], key=lambda b: entry["backends"][b]["speedup_vs_baseline"]
         )
@@ -253,7 +247,6 @@ def run_kernel_bench(
     repeats: int = 3,
     seed: int = 2015,
     policy: SequencePolicy = SequencePolicy.PAPER,
-    backend: str = "auto",
     encode_stripes: int = 32,
 ) -> dict:
     """Interpreted-vs-compiled single-stripe decode; returns a JSON dict.
@@ -261,11 +254,7 @@ def run_kernel_bench(
     Decoders persist across iterations, so the plan cache and (on the
     compiled side) the program cache are warm — exactly the steady state
     of a long-running rebuild, which is what the compiler amortises for.
-
-    ``backend`` pins the compiled side's executor backend for the
-    headline interpreted-vs-compiled comparison and the encode section
-    (``"auto"`` = per-class auto-tune, the default).  The ``backends``
-    comparison table always covers every registered backend regardless.
+    The ``backends`` comparison table covers every registered backend.
     """
     code = SDCode(n, r, m, s)
     scenario = worst_case_sd(code, z=1, rng=seed)
@@ -274,45 +263,35 @@ def run_kernel_bench(
     truth = {b: stripe.get(b).copy() for b in faulty}
     stripe.erase(faulty)
 
-    previous_default = None
-    if backend != "auto":
-        from ..kernels import default_backend
-
-        previous_default = default_backend()
-        set_default_backend(backend)
-    try:
-        # correctness + op accounting first: same bytes, same model counts
-        interp = PPMDecoder(parallel=False, policy=policy, compile=False)
-        compiled = PPMDecoder(parallel=False, policy=policy, compile=True)
-        interp_out, interp_stats = interp.decode(
-            code, stripe, faulty, return_stats=True
+    # correctness + op accounting first: same bytes, same model counts
+    interp = PPMDecoder(parallel=False, policy=policy, compile=False)
+    compiled = PPMDecoder(parallel=False, policy=policy, compile=True)
+    interp_out, interp_stats = interp.decode(
+        code, stripe, faulty, return_stats=True
+    )
+    comp_out, comp_stats = compiled.decode(code, stripe, faulty, return_stats=True)
+    for b in faulty:
+        if not np.array_equal(interp_out[b], truth[b]):
+            raise AssertionError(f"interpreted decode corrupted block {b}")
+        if not np.array_equal(comp_out[b], truth[b]):
+            raise AssertionError(f"compiled decode corrupted block {b}")
+    if comp_stats.mult_xors != interp_stats.mult_xors:
+        raise AssertionError(
+            f"compiled path books {comp_stats.mult_xors} mult_XORs but the "
+            f"interpreted path books {interp_stats.mult_xors}"
         )
-        comp_out, comp_stats = compiled.decode(code, stripe, faulty, return_stats=True)
-        for b in faulty:
-            if not np.array_equal(interp_out[b], truth[b]):
-                raise AssertionError(f"interpreted decode corrupted block {b}")
-            if not np.array_equal(comp_out[b], truth[b]):
-                raise AssertionError(f"compiled decode corrupted block {b}")
-        if comp_stats.mult_xors != interp_stats.mult_xors:
-            raise AssertionError(
-                f"compiled path books {comp_stats.mult_xors} mult_XORs but the "
-                f"interpreted path books {interp_stats.mult_xors}"
-            )
 
-        interp_best = _time_decodes(interp, code, stripe, faulty, iters, repeats)
-        comp_best = _time_decodes(compiled, code, stripe, faulty, iters, repeats)
+    interp_best = _time_decodes(interp, code, stripe, faulty, iters, repeats)
+    comp_best = _time_decodes(compiled, code, stripe, faulty, iters, repeats)
 
-        # model vs executed op counts of the fused program itself
-        plan = compiled.plan(code, faulty)
-        program = lower_plan(code.field, plan).program
-        counter_stats = _counter_microbench()
-        backend_stats = _bench_backends(program, seed, iters, repeats)
-        encode_stats = _bench_encode(
-            code, sector_symbols, encode_stripes, seed, repeats
-        )
-    finally:
-        if previous_default is not None:
-            set_default_backend(previous_default)
+    # model vs executed op counts of the fused program itself
+    plan = compiled.plan(code, faulty)
+    program = lower_plan(code.field, plan).program
+    counter_stats = _counter_microbench()
+    backend_stats = _bench_backends(program, seed, iters, repeats)
+    encode_stats = _bench_encode(
+        code, sector_symbols, encode_stripes, seed, repeats
+    )
 
     interp_dps = iters / interp_best
     comp_dps = iters / comp_best
@@ -324,7 +303,6 @@ def run_kernel_bench(
             "iters": iters,
             "repeats": repeats,
             "policy": policy.name,
-            "backend": backend,
         },
         "interpreted": {
             "decoder": "PPMDecoder(parallel=False, compile=False)",
@@ -389,20 +367,14 @@ def format_kernel_report(result: dict) -> str:
         lines.append(
             f"backends       registered: {', '.join(backends['registered'])}"
         )
-        pinned = result["workload"].get("backend", "auto")
         for entry in backends["classes"]:
             rows = ", ".join(
                 f"{name} {row['speedup_vs_baseline']:.2f}x"
                 for name, row in sorted(entry["backends"].items())
             )
-            if entry["auto_choice"] is not None:
-                pick = f"auto picks {entry['auto_choice']}"
-            elif pinned != "auto":
-                pick = f"pinned to {pinned}"
-            else:
-                pick = "auto picks baseline"
             lines.append(
-                f"  w={entry['w']:<2} {entry['symbols']:>6} sym  {rows}  ({pick})"
+                f"  w={entry['w']:<2} {entry['symbols']:>6} sym  {rows}  "
+                f"(auto picks {entry['auto_choice']})"
             )
     encode = result.get("encode")
     if encode:

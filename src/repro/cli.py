@@ -381,12 +381,6 @@ def _cmd_hedge_bench(args: argparse.Namespace) -> int:
     return 0 if result["gates"]["passed"] else 1
 
 
-def _backend_choices() -> tuple[str, ...]:
-    from .kernels import BACKEND_CHOICES
-
-    return BACKEND_CHOICES
-
-
 def _cmd_kernel_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -401,7 +395,6 @@ def _cmd_kernel_bench(args: argparse.Namespace) -> int:
         iters=args.iters,
         repeats=args.repeats,
         seed=args.seed,
-        backend=args.backend,
         encode_stripes=args.encode_stripes,
     )
     print(format_kernel_report(result))
@@ -1071,14 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--repeats", type=int, default=3)
     p_kern.add_argument("--seed", type=int, default=2015)
     p_kern.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_kern.add_argument(
-        "--backend",
-        choices=_backend_choices(),
-        default="auto",
-        help="pin the compiled path's executor backend "
-             "(auto = per-class auto-tune; the per-backend table always "
-             "covers every registered backend)",
-    )
     p_kern.add_argument("--encode-stripes", type=int, default=32,
                         help="stripes in the naive-vs-batched encode section")
     p_kern.add_argument(

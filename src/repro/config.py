@@ -28,16 +28,12 @@ The sections:
 - :class:`WorkloadConfig` — the load generator's offered load.
 
 :func:`build_store` / :func:`build_service` / :func:`build_cluster`
-turn a config into live objects; :func:`AppConfig.from_legacy_kwargs`
-keeps the pre-layering flat keyword soup working behind a
-:class:`DeprecationWarning` (with a parity regression test pinning the
-mapping).
+turn a config into live objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -79,36 +75,6 @@ class StoreConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class KernelsConfig:
-    """Compiled GF kernel knobs.
-
-    ``backend`` pins the process-wide executor backend selection:
-    ``"auto"`` (default) micro-benchmarks the registered backends per
-    (program shape, w, region size) class and caches the winner; a
-    backend name forces it for every supporting program.  Applied by
-    the builders via
-    :func:`repro.kernels.backends.set_default_backend`.
-    """
-
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        from .kernels.backends import BACKEND_CHOICES
-
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"kernels.backend must be one of {BACKEND_CHOICES}, "
-                f"got {self.backend!r}"
-            )
-
-    def apply(self) -> None:
-        """Install this section's backend policy process-wide."""
-        from .kernels.backends import set_default_backend
-
-        set_default_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -208,69 +174,10 @@ class AppConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    kernels: KernelsConfig = field(default_factory=KernelsConfig)
-
-    # -- legacy flat-kwargs shim ---------------------------------------------
-
-    #: old flat keyword → dotted path in the layered model
-    _LEGACY_KEYS = {
-        "n": "store.n",
-        "r": "store.r",
-        "m": "store.m",
-        "s": "store.s",
-        "stripes": "store.stripes",
-        "symbols": "store.symbols",
-        "fault_rate": "store.fault_rate",
-        "damaged": "store.damaged",
-        "corrupt_fraction": "store.corrupt_fraction",
-        "seed": "store.seed",
-        "batch_trigger": "service.batch_trigger",
-        "max_pending": "service.max_pending",
-        "scrub_stripes": "service.repair.scrub_stripes",
-        "repair_rate": "service.repair.rate_blocks_per_s",
-        "nodes": "cluster.nodes",
-        "requests": "workload.requests",
-        "concurrency": "workload.concurrency",
-        "degraded_fraction": "workload.degraded_fraction",
-    }
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "AppConfig":
-        """The pre-layering flat keyword soup, mapped and deprecated.
-
-        ``flush_ms`` (milliseconds), ``naive`` (inverted
-        ``service.coalesce``) and ``repair`` (bool enabling a default
-        :class:`~repro.repair.RepairConfig`) are translated; everything
-        else maps 1:1 through dotted paths.  Seeds ``store.seed`` into
-        ``cluster.seed`` so one legacy ``seed=`` keeps the whole world
-        deterministic, as it used to.
-        """
-        warnings.warn(
-            "flat service kwargs are deprecated; build an AppConfig "
-            "(repro.config) and use from_dict/apply_overrides instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs = dict(kwargs)
-        overrides: dict[str, Any] = {}
-        if kwargs.pop("repair", False):
-            overrides["service.repair"] = True
-        if "flush_ms" in kwargs:
-            overrides["service.flush_interval_s"] = kwargs.pop("flush_ms") / 1e3
-        if "naive" in kwargs:
-            overrides["service.coalesce"] = not kwargs.pop("naive")
-        for key, value in kwargs.items():
-            try:
-                overrides[cls._LEGACY_KEYS[key]] = value
-            except KeyError:
-                raise TypeError(f"unknown legacy kwarg {key!r}") from None
-        if "store.seed" in overrides:
-            overrides.setdefault("cluster.seed", overrides["store.seed"])
-        return apply_overrides(cls(), overrides)
 
 
 #: nested dataclass sections, in the order they appear in a config file
-_SECTIONS = ("store", "service", "pipeline", "cluster", "workload", "kernels")
+_SECTIONS = ("store", "service", "pipeline", "cluster", "workload")
 
 
 def to_dict(config: AppConfig) -> dict[str, Any]:
@@ -315,7 +222,6 @@ def from_dict(data: Mapping[str, Any]) -> AppConfig:
         "pipeline": PipelineConfig,
         "cluster": ClusterConfig,
         "workload": WorkloadConfig,
-        "kernels": KernelsConfig,
     }
     for key, value in data.items():
         if key not in classes:
@@ -414,7 +320,6 @@ def build_store(config: AppConfig):
     """One seeded, damaged (and optionally bit-rotted) BlobStore."""
     from .service import BlobStore, FaultInjector, corrupt_store, damage_store
 
-    config.kernels.apply()
     store_cfg = config.store
     store = BlobStore.build(
         build_code(store_cfg),
@@ -455,7 +360,6 @@ def build_cluster(config: AppConfig):
     from .cluster import Cluster
     from .service import corrupt_store, damage_store
 
-    config.kernels.apply()
     store_cfg = config.store
     cluster = Cluster.build(
         build_code(store_cfg),

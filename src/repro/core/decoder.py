@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -149,8 +148,7 @@ class _PlanningDecoder:
         This is the one decode entry point every decoder class shares.
 
         ``return_stats=True`` additionally returns a
-        :class:`DecodeStats` with op counts and timings (what the
-        deprecated ``decode_with_stats`` used to do).  ``verify=True``
+        :class:`DecodeStats` with op counts and timings.  ``verify=True``
         statically certifies the decode plan before any region op runs
         (raises :class:`repro.verify.PlanVerificationError` if an
         invariant is violated); ``None`` defers to the decoder's
@@ -176,22 +174,6 @@ class _PlanningDecoder:
             rest_seconds=rest_seconds,
         )
         return recovered, stats
-
-    def decode_with_stats(
-        self,
-        code: ErasureCode | GFMatrix,
-        stripe: Stripe | Mapping[int, np.ndarray],
-        faulty: Sequence[int],
-        verify: bool | None = None,
-    ) -> tuple[dict[int, np.ndarray], DecodeStats]:
-        """Deprecated shim for ``decode(..., return_stats=True)``."""
-        warnings.warn(
-            "decode_with_stats() is deprecated; use "
-            "decode(..., return_stats=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.decode(code, stripe, faulty, return_stats=True, verify=verify)
 
     def encode(
         self, code: ErasureCode, stripe: Stripe | Mapping[int, np.ndarray]
@@ -323,7 +305,7 @@ class TraditionalDecoder(_PlanningDecoder):
     C1, what the open-source SD decoder does) or ``"matrix_first"`` (C2,
     the generator-matrix method); the matching
     :class:`~repro.core.sequences.SequencePolicy` members are accepted
-    too.  ``sequence=`` is a deprecated alias for ``policy=``.
+    too.
     """
 
     _POLICIES = {
@@ -338,15 +320,7 @@ class TraditionalDecoder(_PlanningDecoder):
         counter: OpCounter | None = None,
         verify: bool = False,
         compile: bool = True,
-        sequence: str | None = None,
     ):
-        if sequence is not None:
-            warnings.warn(
-                "TraditionalDecoder(sequence=...) is deprecated; use policy=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = sequence
         if isinstance(policy, SequencePolicy):
             resolved = policy
             if resolved not in self._POLICIES.values():

@@ -24,7 +24,6 @@ construction cost (child counters cannot be shared across processes).
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Mapping
 
 import numpy as np
@@ -79,8 +78,7 @@ class ProcessParallelDecoder(_PlanningDecoder):
     ``threads`` plays the role of T; groups are bucketed round-robin
     exactly like the thread executor.  The rest phase runs in the parent
     (it is serial anyway and needs the recovered regions).  The pool
-    lives until :meth:`close` (the decoder is also a context manager);
-    ``processes=`` is a deprecated alias for ``threads=``.
+    lives until :meth:`close` (the decoder is also a context manager).
     """
 
     def __init__(
@@ -91,25 +89,12 @@ class ProcessParallelDecoder(_PlanningDecoder):
         counter: OpCounter | None = None,
         verify: bool = False,
         compile: bool = True,
-        processes: int | None = None,
     ):
-        if processes is not None:
-            warnings.warn(
-                "ProcessParallelDecoder(processes=...) is deprecated; use threads=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            threads = processes
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         super().__init__(policy, counter, verify=verify, compile=compile)
         self.threads = threads
         self.pool = ProcessWorkerPool(threads)
-
-    @property
-    def processes(self) -> int:
-        """Deprecated alias for ``threads``."""
-        return self.threads
 
     def close(self) -> None:
         """Shut the worker pool down; a later decode re-spawns it."""

@@ -13,14 +13,11 @@ from __future__ import annotations
 from .backends import (
     BACKEND_CHOICES,
     BASELINE_BACKEND,
-    BackendTuning,
     ExecutorBackend,
     available_backends,
-    default_backend,
     get_backend,
-    numba_available,
     register_backend,
-    set_default_backend,
+    select_backend,
     unregister_backend,
 )
 from .cache import DEFAULT_PROGRAM_CACHE_SIZE, ProgramCache, ProgramCacheStats
@@ -55,7 +52,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "BASELINE_BACKEND",
     "DEFAULT_PROGRAM_CACHE_SIZE",
-    "BackendTuning",
     "CompiledRegionOps",
     "ExecutorBackend",
     "Instruction",
@@ -67,7 +63,6 @@ __all__ = [
     "RegionProgram",
     "available_backends",
     "compact_slots",
-    "default_backend",
     "eliminate_dead",
     "get_backend",
     "lower_encode",
@@ -75,10 +70,9 @@ __all__ = [
     "lower_matrix",
     "lower_matrix_chain",
     "lower_plan",
-    "numba_available",
     "optimize_program",
     "register_backend",
-    "set_default_backend",
+    "select_backend",
     "share_pairs",
     "unregister_backend",
 ]

@@ -6,18 +6,15 @@ execution to a registered :class:`ExecutorBackend`:
 - ``numpy`` — the table-gather baseline (every width; the fallback
   target for bypasses and quarantines);
 - ``bitsliced`` — paired bit-plane gathers through fused two-symbol
-  tables for w=4/8 (typically 1.2-2x the baseline, see CI gate);
+  tables for w=4/8 (wins once a region fills an L2 chunk);
 - ``splittab`` — fused halfword split tables (log/antilog-built for
-  w=16) for w=16/32;
-- ``numba`` — optional JIT-compiled instruction stream, registered only
-  when numba imports cleanly (never required).
+  w=16) for w=16/32.
 
-Selection is ``"auto"`` by default: the executor micro-benchmarks the
-candidates per *(program shape, w, region size)* class and caches the
-winner (:mod:`.tuning`).  A process-wide override is available through
-:func:`set_default_backend` (wired to ``AppConfig.kernels.backend``)
-and per-executor through ``ProgramExecutor(backend=...)``; the
-``ppm kernel-bench --backend`` flag exercises a specific one.
+Selection is ``"auto"`` by default: :func:`select_backend` picks from
+the field width and region length alone (see its docstring for the
+measurements behind the rule).  ``ProgramExecutor(backend=...)``
+forces one backend per executor — what the benches and the
+backend-equivalence sweep use.
 
 Registering your own backend: subclass :class:`ExecutorBackend`,
 implement ``supports`` / ``bind`` / ``execute_chunk`` and call
@@ -30,20 +27,17 @@ import threading
 
 from .base import ExecutorBackend, RegionAlignmentError
 from .bitsliced import BitslicedBackend, paired_table
-from .numba_jit import NumbaBackend, numba_available
 from .numpy_tables import NumpyTablesBackend
 from .splittab import SplitTableBackend, halfword_tables
-from .tuning import BackendTuning, shape_key, size_class
 
 #: The baseline every executor can always fall back to.
 BASELINE_BACKEND = "numpy"
 
-#: Names accepted by config / CLI selection knobs ("auto" + registry).
-BACKEND_CHOICES = ("auto", "numpy", "bitsliced", "splittab", "numba")
+#: Names accepted by ``ProgramExecutor(backend=...)``.
+BACKEND_CHOICES = ("auto", "numpy", "bitsliced", "splittab")
 
 _registry_lock = threading.Lock()
 _REGISTRY: dict[str, ExecutorBackend] = {}
-_DEFAULT = "auto"
 
 
 def register_backend(backend: ExecutorBackend, replace: bool = False) -> None:
@@ -82,50 +76,43 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-def set_default_backend(name: str) -> None:
-    """Process-wide default selection policy: ``"auto"`` or a name.
+def select_backend(w: int, length: int, chunk_symbols: int) -> str:
+    """The ``"auto"`` backend for a ``w``-bit field and ``length``-symbol regions.
 
-    This is what ``AppConfig.kernels.backend`` applies; executors built
-    without an explicit ``backend=`` consult it on every execution.
+    - w=16/32 → ``splittab``;
+    - w=8 with regions of at least one executor chunk → ``bitsliced``,
+      whose 128 KiB-per-constant tables only pay once a chunk
+      amortises them;
+    - anything else → ``numpy`` (w=4 included: no workload measures a
+      faster backend there).
+
+    Each boundary has a benchmark workload on either side of it;
+    docs/KERNELS.md gives the measured times.
     """
-    global _DEFAULT
-    if name != "auto":
-        get_backend(name)  # validate eagerly
-    with _registry_lock:
-        _DEFAULT = name
-
-
-def default_backend() -> str:
-    """The current process-wide selection policy name."""
-    with _registry_lock:
-        return _DEFAULT
+    if w in (16, 32):
+        return "splittab"
+    if w == 8 and length >= chunk_symbols:
+        return "bitsliced"
+    return BASELINE_BACKEND
 
 
 register_backend(NumpyTablesBackend())
 register_backend(BitslicedBackend())
 register_backend(SplitTableBackend())
-if numba_available():  # pragma: no cover - depends on the environment
-    register_backend(NumbaBackend())
 
 __all__ = [
     "BACKEND_CHOICES",
     "BASELINE_BACKEND",
-    "BackendTuning",
     "BitslicedBackend",
     "ExecutorBackend",
-    "NumbaBackend",
     "NumpyTablesBackend",
     "RegionAlignmentError",
     "SplitTableBackend",
     "available_backends",
-    "default_backend",
     "get_backend",
     "halfword_tables",
-    "numba_available",
     "paired_table",
     "register_backend",
-    "set_default_backend",
-    "shape_key",
-    "size_class",
+    "select_backend",
     "unregister_backend",
 ]

@@ -10,7 +10,7 @@ A backend owns exactly two things:
   of the slot pool.
 
 Everything else — slot-role classification, chunking, per-thread
-scratch, op accounting, auto-tune, fallback — stays in
+scratch, op accounting, backend selection, fallback — stays in
 :class:`~repro.kernels.executor.ProgramExecutor`, so a backend is a
 small, testable object and every backend books identical model op
 counts by construction.
@@ -60,8 +60,7 @@ class ExecutorBackend:
     misaligned caller buffers instead of crashing).
     """
 
-    #: Registry name (also the ``AppConfig.kernels.backend`` /
-    #: ``ppm kernel-bench --backend`` spelling).
+    #: Registry name (the ``ProgramExecutor(backend=...)`` spelling).
     name: str = "?"
 
     #: Required data-pointer alignment, in bytes, of every input/output

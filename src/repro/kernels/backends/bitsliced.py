@@ -13,9 +13,9 @@ uint16 table (128 KiB) — and then gathers *two symbols per lookup* by
 viewing the region as ``uint16``.  Halving the gather count pays once
 the region is long enough to amortise the paired table's cache
 footprint: below ~16K symbols the 128 KiB-per-constant tables thrash
-and the 256-byte baseline tables win (the auto-tuner keeps the
-baseline there), while at 64K-symbol regions the backend measures
-~1.5-1.6x and the CI gate checks ≥1.2x.  XOR/COPY ops run exactly as
+and the 256-byte baseline tables win (``backend="auto"`` keeps the
+baseline below one 64K-symbol executor chunk), while at 64K-symbol
+regions the CI gate checks ≥1.2x.  XOR/COPY ops run exactly as
 the baseline.
 
 Odd-length chunks handle their final symbol through the ordinary byte

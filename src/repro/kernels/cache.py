@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..gf.field import GF
-from .backends import BackendTuning
 from .ir import RegionProgram
 from .lower import (
     PlanProgram,
@@ -97,10 +96,6 @@ class ProgramCache:
         # key -> (value, pin); pin keeps identity-keyed objects alive
         self._entries: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
         self.stats = ProgramCacheStats()
-        #: Backend auto-tune state (winners + quarantine), shared by
-        #: every executor built over this cache so a winner measured
-        #: for a program class survives as long as the programs do.
-        self.tuning = BackendTuning()
 
     def __len__(self) -> int:
         with self._lock:

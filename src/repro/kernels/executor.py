@@ -13,19 +13,15 @@ call, once per (program, backend):
   (:data:`repro.gf.chunking.DEFAULT_CHUNK_SYMBOLS`), keeping every
   temporary hot across the whole instruction stream.
 
-**Backend selection** is ``"auto"`` by default: on the first execution
-of a *(program shape, w, region size)* class the executor
-micro-benchmarks every registered, supporting backend on a small region
-and records the winner in its :class:`BackendTuning` (shared through
-the :class:`~repro.kernels.cache.ProgramCache` by
-:class:`~repro.kernels.ops.CompiledRegionOps`, so winners persist
-per-process).  A forced backend — per-executor ``backend=`` or the
-process-wide :func:`repro.kernels.backends.set_default_backend` that
-``AppConfig.kernels.backend`` applies — skips tuning.
+**Backend selection** is ``"auto"`` by default: a fixed rule over the
+field width and region length
+(:func:`repro.kernels.backends.select_backend`).  A per-executor
+``backend=`` forces one backend instead.
 
 **Fallback** keeps fast paths safe: a backend that raises mid-execution
-is quarantined from all future selection, the call replays on the
-baseline, and :meth:`stats` counts it under ``backend_fallbacks``; a
+is quarantined from all of this executor's future selection, the call
+replays on the baseline, and :meth:`stats` counts it under
+``backend_fallbacks``; a
 :class:`~repro.kernels.backends.base.RegionAlignmentError` (caller
 buffers the backend cannot re-view) replays on the baseline *without*
 quarantine and counts under ``backend_bypasses``.
@@ -47,13 +43,9 @@ from ..gf.region import OpCounter
 from .backends import (
     BACKEND_CHOICES,
     BASELINE_BACKEND,
-    BackendTuning,
     ExecutorBackend,
-    available_backends,
-    default_backend,
     get_backend,
-    shape_key,
-    size_class,
+    select_backend,
 )
 from .backends.base import RegionAlignmentError
 from .ir import RegionProgram
@@ -62,23 +54,6 @@ from .ir import RegionProgram
 #: pairs before the executor's table cache is reset (programs come from
 #: a bounded ProgramCache, so this only triggers under cache churn).
 _MAX_BOUND = 512
-
-#: Auto-tune sample region length (symbols); small enough that a tune
-#: is a few milliseconds, large enough that table cache residency at
-#: the sample matches the gated region class (the wide-table backends
-#: only win once the region amortises their table footprint).
-_TUNE_SYMBOLS = 16384
-
-#: Timed repetitions per backend during a tune (best-of).
-_TUNE_REPEATS = 3
-
-#: A challenger must beat the incumbent by this fraction to win the
-#: class — hysteresis toward the earlier candidate (the baseline is
-#: tried first), so timer noise cannot promote a backend that merely
-#: ties.  A mispick is pure regression for every later execution of
-#: the class; a missed marginal win costs almost nothing.
-_TUNE_MARGIN = 0.05
-
 
 class _ExecCell:
     """Per-thread execution tallies (merged lock-free on read)."""
@@ -105,13 +80,10 @@ class ProgramExecutor:
     chunk_symbols:
         L2 blocking factor.
     backend:
-        ``"auto"`` (default) tunes per class; a backend name forces it
-        for every supporting program (unsupported programs silently use
-        the baseline).  The process-wide default from
-        ``AppConfig.kernels.backend`` applies when this is ``"auto"``.
-    tuning:
-        Shared :class:`BackendTuning` (winners + quarantine); private
-        by default.
+        ``"auto"`` (default) applies
+        :func:`~repro.kernels.backends.select_backend`; a backend name
+        forces it for every supporting program (unsupported programs
+        silently use the baseline).
 
     Each :meth:`execute` is tallied into per-thread cells (count,
     symbols, wall seconds, per-backend split, fallback/bypass counts) —
@@ -126,7 +98,6 @@ class ProgramExecutor:
         field: GF,
         chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
         backend: str = "auto",
-        tuning: BackendTuning | None = None,
     ):
         if chunk_symbols < 1:
             raise ValueError(f"chunk_symbols must be positive, got {chunk_symbols}")
@@ -135,8 +106,9 @@ class ProgramExecutor:
         self.field = field
         self.chunk_symbols = int(chunk_symbols)
         self.backend = backend
-        self.tuning = tuning if tuning is not None else BackendTuning()
         self._bind_lock = threading.Lock()
+        # backends that raised mid-execution, benched for good
+        self._quarantined: set[str] = set()
         # (id(program), backend) -> (program, bound); the program is
         # pinned so its id cannot be reused while the binding lives.
         self._bound: dict[tuple[int, str], tuple[RegionProgram, tuple]] = {}
@@ -257,94 +229,24 @@ class ProgramExecutor:
 
     # -- backend selection -------------------------------------------------
 
-    def _usable(self, name: str, program: RegionProgram) -> ExecutorBackend | None:
-        try:
-            backend = get_backend(name)
-        except KeyError:
-            return None
-        if self.tuning.is_quarantined(name):
-            return None
-        if not backend.supports(self.field, program):
-            return None
-        return backend
+    def quarantined(self) -> frozenset[str]:
+        """Backends benched after raising mid-execution."""
+        with self._bind_lock:
+            return frozenset(self._quarantined)
 
     def _select_backend(self, program: RegionProgram, length: int) -> ExecutorBackend:
-        forced = self.backend if self.backend != "auto" else default_backend()
-        baseline = get_backend(BASELINE_BACKEND)
-        if forced != "auto":
-            return self._usable(forced, program) or baseline
-        key = shape_key(program, size_class(length))
-        name = self.tuning.choice(key)
-        if name is None:
-            name = self._autotune(program, length, key)
-        if name == BASELINE_BACKEND:
-            return baseline
-        return self._usable(name, program) or baseline
-
-    def _tune_inputs(self, length: int) -> np.ndarray:
-        """Deterministic pseudo-random valid symbols for timing runs.
-
-        A splitmix64-style finalizer, not a plain multiplicative hash:
-        adjacent symbols must be jointly uniform, because backends that
-        gather multi-symbol words (the paired uint16 tables) would see
-        a structured sequence's few distinct word values as a tiny,
-        cache-resident index set and tune unrealistically fast.
-        """
-        mask = (1 << self.field.w) - 1
-        x = np.arange(1, length + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return (x & np.uint64(mask)).astype(self.field.dtype)
-
-    def _autotune(self, program: RegionProgram, length: int, key: tuple) -> str:
-        """Micro-benchmark candidates on a small region; record winner.
-
-        Failures during tuning quarantine the backend (it never wins a
-        class it cannot run) but are otherwise silent — the baseline
-        always completes.
-        """
-        sample = max(2, min(length, self.chunk_symbols, _TUNE_SYMBOLS))
-        base = self._tune_inputs(sample)
-        inputs = [base.copy() for _ in range(program.num_inputs)]
-        outs = [np.empty(sample, dtype=self.field.dtype) for _ in program.outputs]
-        candidates = [BASELINE_BACKEND] + [
-            name for name in available_backends() if name != BASELINE_BACKEND
-        ]
-        best_name = BASELINE_BACKEND
-        best_seconds = float("inf")
-        for name in candidates:
-            backend = (
-                get_backend(BASELINE_BACKEND)
-                if name == BASELINE_BACKEND
-                else self._usable(name, program)
-            )
-            if backend is None:
-                continue
+        name = self.backend
+        if name == "auto":
+            name = select_backend(self.field.w, length, self.chunk_symbols)
+        if name != BASELINE_BACKEND and name not in self._quarantined:
             try:
-                self._run(program, backend, inputs, outs, sample)  # warm bind + caches
-                # time a block of consecutive runs: steady-state throughput
-                # (table-eviction effects included), not the warm best case
-                t0 = time.perf_counter()
-                for _ in range(_TUNE_REPEATS):
-                    self._run(program, backend, inputs, outs, sample)
-                seconds = time.perf_counter() - t0
-            except Exception:
-                if name != BASELINE_BACKEND:
-                    self.tuning.quarantine(name)
-                continue
-            threshold = (
-                best_seconds
-                if name == BASELINE_BACKEND
-                else best_seconds * (1.0 - _TUNE_MARGIN)
-            )
-            if seconds < threshold:
-                best_seconds = seconds
-                best_name = name
-        self.tuning.record(key, best_name)
-        return best_name
+                backend = get_backend(name)
+            except KeyError:  # unregistered since construction
+                pass
+            else:
+                if backend.supports(self.field, program):
+                    return backend
+        return get_backend(BASELINE_BACKEND)
 
     # -- execution ---------------------------------------------------------
 
@@ -435,9 +337,10 @@ class ProgramExecutor:
         except Exception:
             if backend.name == BASELINE_BACKEND:
                 raise
-            # a broken backend (e.g. a JIT failing mid-process) must
-            # never break decoding: bench it for good and replay
-            self.tuning.quarantine(backend.name)
+            # a broken backend must never break decoding: bench it
+            # for good and replay
+            with self._bind_lock:
+                self._quarantined.add(backend.name)
             cell.fallbacks += 1
             backend = get_backend(BASELINE_BACKEND)
             self._run(program, backend, inputs, out_arrays, length)

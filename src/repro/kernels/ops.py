@@ -41,8 +41,9 @@ class CompiledRegionOps(RegionOps):
     chunk_symbols:
         L2 blocking factor for the executor.
     backend:
-        Executor backend selection: ``"auto"`` (default, per-class
-        auto-tune) or a registered backend name to force it.
+        Executor backend selection: ``"auto"`` (default, the fixed
+        :func:`~repro.kernels.backends.select_backend` rule) or a
+        registered backend name to force it.
     """
 
     def __init__(
@@ -58,13 +59,8 @@ class CompiledRegionOps(RegionOps):
         super().__init__(field, counter)
         self.programs = programs if programs is not None else ProgramCache()
         self.optimize = optimize
-        # tuning state lives on the program cache: backend winners are
-        # shared by every ops/executor built over the same cache
         self.executor = ProgramExecutor(
-            field,
-            chunk_symbols=chunk_symbols,
-            backend=backend,
-            tuning=self.programs.tuning,
+            field, chunk_symbols=chunk_symbols, backend=backend
         )
 
     def _compilable(self, regions: list[np.ndarray]) -> bool:

@@ -59,7 +59,6 @@ from .net import (
     Client,
     ClientPool,
     LocalClient,
-    ServiceClient,
     TcpClient,
     connect,
     serve,
@@ -77,7 +76,6 @@ __all__ = [
     "FaultInjector",
     "LatencyHistogram",
     "LocalClient",
-    "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
     "TcpClient",

@@ -37,17 +37,12 @@ Errors come back as ``{"ok": false, "kind": "<ExceptionName>",
 "error": "<message>"}`` with the connection kept open; only a malformed
 line closes it.  Regions travel as JSON integer lists (field symbols),
 which caps practical sector sizes but keeps the wire dependency-free.
-
-:class:`ServiceClient` (one TCP connection, positional host/port) is
-the pre-cluster entry point, kept as a thin deprecation shim over
-:class:`TcpClient`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import warnings
 
 import numpy as np
 
@@ -465,21 +460,3 @@ async def connect(
         "string/tuple, a backend object, or a Client"
     )
 
-
-class ServiceClient(TcpClient):
-    """Deprecated pre-cluster TCP client; use :func:`connect` instead.
-
-    Kept so existing ``ServiceClient.connect(host, port)`` call sites
-    keep working unchanged (they get a :class:`TcpClient` with the old
-    positional signature plus a :class:`DeprecationWarning`).
-    """
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "ServiceClient":  # type: ignore[override]
-        warnings.warn(
-            "ServiceClient.connect(host, port) is deprecated; use "
-            "repro.service.connect('host:port') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return await cls.open((host, port))  # type: ignore[return-value]

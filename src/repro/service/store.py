@@ -169,6 +169,8 @@ class BlobStore:
         # scrub thread read; serialize the mutating paths (readers stay
         # lock-free — block arrays are replaced, never edited in place)
         self._write_lock = threading.Lock()
+        # re-encodes parity on writes; only ever used under _write_lock
+        self._codec = TraditionalDecoder()
 
     # -- construction --------------------------------------------------------
 
@@ -259,13 +261,35 @@ class BlobStore:
         return stripe.get(block)
 
     def write(self, stripe_id: int, block: int, region: np.ndarray) -> None:
-        """Write-through put: updates the stripe *and* the ground truth
-        (a client overwrite redefines what "correct" means)."""
+        """Write-through put of one data block, parity kept consistent.
+
+        Erased data blocks are first recovered from the stripe's current
+        survivors, then the stripe's present parity blocks are
+        re-encoded from the new data, so a later degraded read decodes
+        the bytes just written.  The ground truth takes the same write
+        and re-encodes its own parity (a client overwrite redefines what
+        "correct" means).  Parity blocks cannot be written directly
+        (``ValueError``); a stripe whose erasures cannot be decoded
+        rejects the write unchanged.
+        """
+        code = self.code
+        if block in code.parity_block_ids:
+            raise ValueError(f"block {block} is a parity block; only data is writable")
         stripe = self.stripe(stripe_id)
         self.faults.check(stripe_id)
         with self._write_lock:
+            data = {b: stripe.get(b) for b in code.data_block_ids if stripe.has(b)}
+            if len(data) + (block not in data) < len(code.data_block_ids):
+                recovered = self._codec.decode(code, stripe, stripe.erased_ids)
+                data.update((b, recovered[b]) for b in code.data_block_ids if b not in data)
             stripe.put(block, region)
-            self._truth[stripe_id].put(block, region)
+            data[block] = stripe.get(block)
+            for bid, parity in self._codec.encode(code, data).items():
+                if stripe.has(bid):
+                    stripe.put(bid, parity)
+            truth = self._truth[stripe_id]
+            truth.put(block, region)
+            self._codec.encode_into(code, truth)
 
     def snapshot_blocks(
         self, stripe_id: int, inject: bool = True

@@ -6,7 +6,8 @@ are on trend directions (who wins, what grows), not absolute numbers.
 
 import pytest
 
-from repro.bench import FIGURES, run_figure
+from repro.bench import FIGURES, figures, run_figure
+from repro.parallel import CPUProfile
 
 TINY = 1 << 14  # 16 KB stripes for measured figures
 
@@ -65,7 +66,20 @@ def test_figure6_ratio_falls_with_r():
         assert ratios == sorted(ratios, reverse=True), (m, s)
 
 
-def test_figure7_gain_positive_and_peaks_by_cores():
+#: A 2-core x86-64 host's ``host_profile()`` calibration, fixed so the
+#: figure-7 model sees the same machine on every run (the live
+#: measurement drifts ~2x with host load, enough to flip a gain's sign).
+CALIBRATED_HOST = CPUProfile(
+    name="host(w=8)",
+    cores=2,
+    ghz=1.0,
+    base_throughput=2.9e8,
+    spawn_overhead_s=1.3e-4,
+)
+
+
+def test_figure7_gain_positive_and_peaks_by_cores(monkeypatch):
+    monkeypatch.setattr(figures, "host_profile", lambda w=8: CALIBRATED_HOST)
     report = run_figure(7, fast=True, stripe_bytes=1 << 20)
     for m, s, n in {(r[0], r[1], r[2]) for r in report.rows}:
         series = sorted(

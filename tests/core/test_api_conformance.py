@@ -8,7 +8,6 @@ The redesign's contract, checked uniformly across the registry:
 - ``decode(code, stripe, faulty)`` returns ``{block_id: region}``, and
   ``decode(..., return_stats=True)`` returns ``(recovered, stats)``
   with mult_XOR accounting;
-- the legacy ``decode_with_stats`` shim still works but warns;
 - ``get_decoder(kind, **params)`` constructs every registered kind.
 """
 
@@ -131,21 +130,6 @@ def test_decode_return_stats_flag(setup, kind):
     assert stats.wall_seconds >= 0.0
 
 
-@pytest.mark.parametrize("kind", sorted(set(DECODER_PARAMS) - {"pipeline"}))
-def test_decode_with_stats_shim_warns_but_works(setup, kind):
-    code, faulty, stripe, truth = setup
-    decoder = make(kind)
-    try:
-        with pytest.warns(DeprecationWarning, match="decode_with_stats"):
-            recovered, stats = decoder.decode_with_stats(code, stripe, faulty)
-    finally:
-        close(decoder)
-    assert sorted(recovered) == sorted(faulty)
-    assert stats.mult_xors > 0
-    for b in faulty:
-        assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
-
-
 @pytest.mark.parametrize(
     "kind", ["traditional", "ppm", "segment_parallel", "process_parallel", "bitmatrix"]
 )
@@ -171,12 +155,6 @@ def test_verify_parameter_is_uniform(setup, kind):
         close(decoder)
     for b in faulty:
         assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
-
-
-def test_traditional_sequence_alias_warns():
-    with pytest.warns(DeprecationWarning, match="sequence"):
-        decoder = TraditionalDecoder(sequence="matrix_first")
-    assert decoder.sequence == "matrix_first"
 
 
 def test_all_decoders_agree_bit_for_bit(setup):

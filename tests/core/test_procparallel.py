@@ -61,15 +61,6 @@ def test_thread_validation():
         ProcessParallelDecoder(threads=0)
 
 
-def test_processes_alias_deprecated():
-    """The pre-redesign ``processes=`` keyword still works but warns."""
-    with pytest.warns(DeprecationWarning, match="processes"):
-        decoder = ProcessParallelDecoder(processes=2)
-    assert decoder.threads == 2
-    assert decoder.processes == 2
-    decoder.close()
-
-
 def test_pool_spawned_once_across_batch(setup):
     """Regression: the worker pool must persist across decode calls.
 

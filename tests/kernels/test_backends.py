@@ -1,11 +1,12 @@
 """Executor backends: registry, selection, equivalence, fallback.
 
-The contract under test: every registered backend is byte-identical to
-the numpy baseline on every program it supports; a backend that raises
-at runtime is quarantined and the execution silently replays on the
-baseline; a misaligned caller buffer bypasses (no quarantine).  The
-cross-backend equivalence sweep is hypothesis-driven across all word
-sizes, including odd region lengths (paired-gather tail paths).
+The contract under test: ``"auto"`` picks one fixed backend per
+(w, region length) class; every registered backend is byte-identical
+to the numpy baseline on every program it supports; a backend that
+raises at runtime is quarantined and the execution silently replays on
+the baseline; a misaligned caller buffer bypasses (no quarantine).
+The cross-backend equivalence sweep is hypothesis-driven across all
+word sizes, including odd region lengths (paired-gather tail paths).
 """
 
 import numpy as np
@@ -14,22 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import GF, RegionOps
+from repro.gf.chunking import DEFAULT_CHUNK_SYMBOLS
 from repro.kernels import (
     BACKEND_CHOICES,
     BASELINE_BACKEND,
     ProgramExecutor,
     available_backends,
-    default_backend,
     get_backend,
     lower_matrix,
-    numba_available,
     register_backend,
-    set_default_backend,
+    select_backend,
     unregister_backend,
 )
 from repro.kernels.backends import ExecutorBackend
 
 WORD_SIZES = [4, 8, 16, 32]
+CHUNK = DEFAULT_CHUNK_SYMBOLS
 
 
 def matrix_case(w, rows=3, cols=5, length=257, seed=None):
@@ -49,9 +50,6 @@ class TestRegistry:
         assert names[0] == BASELINE_BACKEND
         assert "bitsliced" in names
         assert "splittab" in names
-
-    def test_numba_registered_iff_available(self):
-        assert ("numba" in available_backends()) == numba_available()
 
     def test_choices_cover_registry(self):
         assert "auto" in BACKEND_CHOICES
@@ -184,7 +182,7 @@ class TestFallbackAndQuarantine:
                 assert np.array_equal(g, e)
             stats = executor.stats()
             assert stats["backend_fallbacks"] == 1
-            assert executor.tuning.is_quarantined("exploding")
+            assert "exploding" in executor.quarantined()
             # tallied under the backend that actually completed
             assert BASELINE_BACKEND in stats["backends"]
             assert "exploding" not in stats["backends"]
@@ -194,16 +192,29 @@ class TestFallbackAndQuarantine:
         finally:
             unregister_backend("exploding")
 
-    def test_quarantine_voids_recorded_wins(self):
-        field, matrix, regions = matrix_case(8)
+    def test_quarantined_pick_uses_baseline(self):
+        # a w=8 region of one full chunk: the rule picks bitsliced
+        field, matrix, regions = matrix_case(8, length=CHUNK)
         program = lower_matrix(field, matrix)
-        executor = ProgramExecutor(field, backend="auto")
-        executor.execute(program, regions)
-        choices = executor.tuning.choices()
-        assert choices, "auto-tune should record a winner"
-        key, winner = next(iter(choices.items()))
-        executor.tuning.quarantine(winner)
-        assert executor.tuning.choice(key) is None
+        expected = RegionOps(field).matrix_apply(matrix, regions)
+        original = get_backend("bitsliced")
+
+        class BrokenBitsliced(_ExplodingBackend):
+            name = "bitsliced"
+
+        register_backend(BrokenBitsliced(), replace=True)
+        try:
+            executor = ProgramExecutor(field)
+            for _ in range(2):
+                got = executor.execute(program, regions)
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g, e)
+            stats = executor.stats()
+            assert stats["backend_fallbacks"] == 1
+            assert executor.quarantined() == {"bitsliced"}
+            assert stats["backends"].keys() == {BASELINE_BACKEND}
+        finally:
+            register_backend(original, replace=True)
 
     def test_alignment_error_bypasses_without_quarantine(self):
         from repro.kernels.backends import RegionAlignmentError
@@ -243,7 +254,7 @@ class TestFallbackAndQuarantine:
             stats = executor.stats()
             assert stats["backend_bypasses"] == 1
             assert stats["backend_fallbacks"] == 0
-            assert not executor.tuning.is_quarantined("picky-alignment")
+            assert not executor.quarantined()
             # the very next call uses the backend again (no sticky state)
             executor.execute(program, regions)
             stats = executor.stats()
@@ -273,25 +284,63 @@ class TestFallbackAndQuarantine:
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
         assert executor.stats()["backend_fallbacks"] == 0
-        assert not executor.tuning.is_quarantined("bitsliced")
+        assert not executor.quarantined()
 
 
-class TestDefaultBackendOverride:
-    def test_process_default_applies_to_auto_executors(self):
-        field, matrix, regions = matrix_case(8)
+class TestSelectionRule:
+    """``"auto"`` is a fixed function of (w, region length)."""
+
+    @pytest.mark.parametrize(
+        "w,length,expected",
+        [
+            (8, 4096, "numpy"),
+            (8, CHUNK - 1, "numpy"),
+            (8, CHUNK, "bitsliced"),
+            (8, 16 * CHUNK, "bitsliced"),
+            (16, 1024, "splittab"),
+            (16, CHUNK, "splittab"),
+            (32, 1024, "splittab"),
+            (4, 4096, "numpy"),
+            (4, CHUNK, "numpy"),
+        ],
+    )
+    def test_rule(self, w, length, expected):
+        assert select_backend(w, length, CHUNK) == expected
+
+    @pytest.mark.parametrize(
+        "w,length,expected",
+        [
+            (8, 4096, "numpy"),
+            (8, CHUNK, "bitsliced"),
+            (16, 4096, "splittab"),
+            (32, 4096, "splittab"),
+            (4, 4096, "numpy"),
+        ],
+    )
+    def test_auto_executor_runs_the_rule(self, w, length, expected):
+        field, matrix, regions = matrix_case(w, length=length)
         program = lower_matrix(field, matrix)
-        previous = default_backend()
-        set_default_backend("bitsliced")
-        try:
-            executor = ProgramExecutor(field)
+        executor = ProgramExecutor(field)
+        for _ in range(2):
             executor.execute(program, regions)
-            assert executor.stats()["backends"].keys() == {"bitsliced"}
-        finally:
-            set_default_backend(previous)
+        assert executor.stats()["backends"].keys() == {expected}
 
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises((KeyError, ValueError)):
-            set_default_backend("nonesuch")
+    def test_kernel_bench_auto_choice_follows_the_rule(self):
+        from repro.bench.kernels import _bench_backends
+        from repro.codes import SDCode
+        from repro.core import PPMDecoder
+        from repro.kernels import lower_plan
+        from repro.stripes import worst_case_sd
+
+        code = SDCode(6, 4, 2, 2)
+        faulty = list(worst_case_sd(code, z=1, rng=1).faulty_blocks)
+        plan = PPMDecoder(parallel=False).plan(code, faulty)
+        program = lower_plan(code.field, plan).program
+        table = _bench_backends(program, seed=1, iters=1, repeats=1)
+        for entry in table["classes"]:
+            assert entry["auto_choice"] == select_backend(
+                entry["w"], entry["symbols"], CHUNK
+            ), entry
 
 
 class TestStatsAccounting:

@@ -73,6 +73,46 @@ def test_put_writes_through(code):
     run(main())
 
 
+@pytest.mark.parametrize("erased_target", [False, True])
+def test_put_to_damaged_stripe_keeps_degraded_reads_correct(code, erased_target):
+    """Regression: a put must re-encode parity.  With stale parity, the
+    degraded reads of the stripe's other erased blocks decoded wrong
+    bytes from survivors that no longer agreed with each other."""
+    store = make_store(code, num_stripes=1)
+    erased = store.pattern(0)
+    data_ids = code.data_block_ids
+    if erased_target:
+        block = next(b for b in erased if b in data_ids)
+    else:
+        block = next(b for b in store.stripe(0).present_ids if b in data_ids)
+    region = np.arange(SYMBOLS, dtype=code.field.dtype)
+
+    async def main():
+        async with BlobService(store, config=fast_config()) as service:
+            await service.put(0, block, region)
+            assert np.array_equal(await service.get(0, block), region)
+            for bid in store.pattern(0):
+                got = await service.degraded_get(0, bid)
+                assert store.verify_block(0, bid, got), bid
+
+    run(main())
+    assert store.pattern(0) == tuple(b for b in erased if b != block)
+
+
+def test_put_to_parity_block_is_rejected(code):
+    store = make_store(code, num_stripes=1, damaged=0.0)
+    parity = code.parity_block_ids[0]
+    before = store.stripe(0).get(parity).copy()
+
+    async def main():
+        async with BlobService(store, config=fast_config()) as service:
+            with pytest.raises(ValueError, match="parity"):
+                await service.put(0, parity, np.zeros(SYMBOLS, code.field.dtype))
+
+    run(main())
+    assert np.array_equal(store.stripe(0).get(parity), before)
+
+
 def test_transient_faults_absorbed_by_retries(code):
     """max_consecutive < max_retries ==> zero client-visible failures."""
     store = make_store(code, num_stripes=2, fault_rate=0.4, seed=3)

@@ -1,9 +1,7 @@
 """The layered config model: defaults → dict → dotted overrides.
 
 Pins the three-layer precedence, the strictness guarantees (unknown
-keys raise, values coerce to field types), the builders, and the
-legacy flat-kwargs shim — including the parity regression test the
-shim's docstring promises.
+keys raise, values coerce to field types) and the builders.
 """
 
 from __future__ import annotations
@@ -154,101 +152,18 @@ def test_build_cluster_stitches_the_service_section():
         assert node.service.config.batch_trigger == 3
 
 
-# -- legacy flat-kwargs shim --------------------------------------------------
-
-
-def test_legacy_kwargs_warn_and_match_layered_config():
-    """Parity regression: the flat keyword soup must build the exact
-    config the layered API builds, so old callers keep working."""
-    with pytest.warns(DeprecationWarning, match="flat service kwargs"):
-        legacy = AppConfig.from_legacy_kwargs(
-            n=6,
-            r=4,
-            m=2,
-            s=2,
-            stripes=4,
-            symbols=16,
-            fault_rate=0.0,
-            seed=99,
-            batch_trigger=3,
-            flush_ms=5.0,
-            naive=True,
-            repair=True,
-            scrub_stripes=4,
-            nodes=2,
-            requests=50,
-            concurrency=8,
-            degraded_fraction=0.25,
-        )
-    layered = apply_overrides(
-        AppConfig(),
-        {
-            **SMALL,
-            "store.seed": 99,
-            "service.batch_trigger": 3,
-            "service.flush_interval_s": 0.005,
-            "service.coalesce": False,
-            "service.repair": True,
-            "service.repair.scrub_stripes": 4,
-            "cluster.nodes": 2,
-            "cluster.seed": 99,
-            "workload.requests": 50,
-            "workload.concurrency": 8,
-            "workload.degraded_fraction": 0.25,
-        },
-    )
-    assert legacy == layered
-
-
-def test_legacy_seed_feeds_the_placement_ring():
-    with pytest.warns(DeprecationWarning):
-        config = AppConfig.from_legacy_kwargs(seed=123)
-    assert config.store.seed == 123
-    assert config.cluster.seed == 123
-
-
-def test_legacy_unknown_kwarg_raises():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="unknown legacy kwarg"):
-            AppConfig.from_legacy_kwargs(shards=3)
-
-
 def test_service_config_is_default_constructed_sections():
     config = AppConfig()
     assert config.service == ServiceConfig()
     assert config.workload == WorkloadConfig()
 
 
-def test_kernels_section_defaults_and_round_trip():
-    from repro.config import KernelsConfig
-
-    config = AppConfig()
-    assert config.kernels == KernelsConfig()
-    assert config.kernels.backend == "auto"
-    overridden = apply_overrides(config, {"kernels.backend": "bitsliced"})
-    assert overridden.kernels.backend == "bitsliced"
-    assert from_dict(to_dict(overridden)) == overridden
-
-
-def test_kernels_backend_is_validated():
-    from repro.config import KernelsConfig
-
-    with pytest.raises(ValueError, match="backend"):
-        KernelsConfig(backend="nonesuch")
-    with pytest.raises(ValueError, match="backend"):
-        from_dict({"kernels": {"backend": "nonesuch"}})
-
-
-def test_kernels_apply_sets_process_default():
-    from repro.config import KernelsConfig
-    from repro.kernels import default_backend, set_default_backend
-
-    previous = default_backend()
-    try:
-        KernelsConfig(backend="bitsliced").apply()
-        assert default_backend() == "bitsliced"
-    finally:
-        set_default_backend(previous)
+def test_kernels_section_is_unknown():
+    """Backend choice is a fixed rule; a config file cannot pin it."""
+    with pytest.raises(ValueError, match="unknown config section"):
+        from_dict({"kernels": {"backend": "bitsliced"}})
+    with pytest.raises(ValueError, match="unknown override path"):
+        apply_overrides(AppConfig(), {"kernels.backend": "bitsliced"})
 
 
 def test_pipeline_section_round_trip_and_overrides():
